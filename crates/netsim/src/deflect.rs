@@ -402,12 +402,7 @@ impl DeflectionPolicy for HybridPolicy {
             return;
         }
         let k = self.deflect_power.max(1).min(cands.len());
-        let sample: Vec<u16> = ctx
-            .rng
-            .k_distinct(k, cands.len())
-            .into_iter()
-            .map(|i| cands[i])
-            .collect();
+        let sample = sw.sample_ports(&cands, k, ctx.rng);
         sw.deflect_scratch = cands;
         let chosen = *sample
             .iter()
@@ -428,6 +423,7 @@ impl DeflectionPolicy for HybridPolicy {
                 chosen,
             );
         }
+        sw.sample_scratch = sample;
         Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[chosen as usize].queue, &mut pkt, ctx);
         sw.ports[chosen as usize].queue.push(pkt);
         sw.start_tx(chosen, ctx);
@@ -480,12 +476,7 @@ impl DeflectionPolicy for BoundedPolicy {
             return;
         }
         let k = self.deflect_power.max(1).min(cands.len());
-        let sample: Vec<u16> = ctx
-            .rng
-            .k_distinct(k, cands.len())
-            .into_iter()
-            .map(|i| cands[i])
-            .collect();
+        let sample = sw.sample_ports(&cands, k, ctx.rng);
         sw.deflect_scratch = cands;
         // Least-loaded sampled queue (the seeded mutation flips this to
         // most-loaded, so golden traces catch selection regressions).
@@ -520,6 +511,7 @@ impl DeflectionPolicy for BoundedPolicy {
                 chosen,
             );
         }
+        sw.sample_scratch = sample;
         Switch::maybe_mark_ecn(&sw.cfg, &sw.ports[chosen as usize].queue, &mut pkt, ctx);
         sw.ports[chosen as usize].queue.push(pkt);
         sw.start_tx(chosen, ctx);

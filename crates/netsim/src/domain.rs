@@ -15,13 +15,19 @@
 //! order its wheel pops events, and (c) its private RNG stream. The
 //! engine makes all three independent of the partition:
 //!
-//! * **All wire deliveries** (`Event::Arrive`, same-domain or not) detour
-//!   through per-domain outboxes and a global mailbox, and are injected
-//!   into the target wheels at barriers in canonical
-//!   `(arrival, send time, packet uid)` order — never in thread finish
-//!   order. Self-targeted events (`TxDone`, `HostTimer`) go straight to
-//!   the local wheel, so their tie order against injected arrivals is a
-//!   function of the (partition-independent) barrier grid alone.
+//! * **All wire deliveries** (`Event::Arrive`, same-domain or not) wait
+//!   in the receiving domain's [`Inbox`] — a ring of plain buckets, one
+//!   per lookahead-grid slot — until the window they land in opens.
+//!   Same-domain deliveries go straight to the local inbox; cross-domain
+//!   ones sit in the sender's outbox until the barrier routes them. When
+//!   a window opens, its due deliveries are pushed into the wheel with
+//!   [`EventQueue::push_keyed`], so at one instant they pop in canonical
+//!   `(send time, packet uid)` order whatever order the buckets held them
+//!   in. Self-targeted events (`TxDone`, `HostTimer`) go straight to the
+//!   local wheel; the wheel's window end (set per window) sorts those
+//!   landing beyond the window before the deliveries of their instant and
+//!   the rest after them, which is a function of the (partition-
+//!   independent) barrier grid alone.
 //! * **Barriers land on a fixed grid**: a window starting at the earliest
 //!   pending time `m` ends at `min(grid_ceil(m), horizon, next sample)`
 //!   where the grid quantum is the global minimum propagation delay.
@@ -40,40 +46,135 @@
 //! global insertion order, which is history a parallel engine cannot
 //! reproduce, so the two engines are deliberately *not* byte-compared.
 
-use crate::events::{Ctx, Event, EventSink, Outbox};
+use crate::events::{Ctx, Event, EventSink, Route};
 use crate::faults::{FaultAction, FaultState};
 use crate::sim::{Node, Simulation};
 use crate::telemetry::{Telemetry, TelemetryConfig};
 use crate::topology::Topology;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use vertigo_pkt::pool;
-use vertigo_simcore::{
-    EventQueue, LookaheadGrid, Mailbox, MailboxKey, SimDuration, SimRng, SimTime, WorkerPool,
-};
+use vertigo_simcore::{EventQueue, LookaheadGrid, SimDuration, SimRng, SimTime, WorkerPool};
 use vertigo_stats::{Recorder, Report};
 
 /// RNG stream namespace for per-node streams (`base | node_id`), chosen
 /// not to collide with the fault stream (`0xFA17`) or workload streams.
 const NODE_STREAM_BASE: u64 = 0x4E0D_0000_0000;
 
+/// One wire delivery waiting for its window: the scheduled arrival, the
+/// send time and the packet's globally unique id (the tie key), and the
+/// buffered `Event::Arrive`.
+pub(crate) struct Delivery {
+    pub(crate) at: SimTime,
+    pub(crate) sent: SimTime,
+    pub(crate) uid: u64,
+    pub(crate) ev: Event,
+    /// Routed in from another domain at a barrier.
+    pub(crate) crossed: bool,
+}
+
+/// One domain's pending deliveries, bucketed by lookahead-grid slot:
+/// `buckets[i]` holds arrivals in `((base + i - 1)·q, (base + i)·q]`,
+/// unordered. A delivery sent in a window starting at `m` lands at or
+/// after `m + q`, which is at or after that window's end, so nothing is
+/// ever filed below `base` (the slot of the last window end).
+pub(crate) struct Inbox {
+    quantum: u64,
+    /// Grid slot of `buckets[0]`.
+    base: u64,
+    buckets: VecDeque<Vec<Delivery>>,
+    len: usize,
+}
+
+impl Inbox {
+    fn new(quantum: u64) -> Self {
+        Inbox {
+            quantum,
+            base: 0,
+            buckets: VecDeque::new(),
+            len: 0,
+        }
+    }
+
+    /// Files a delivery under the grid slot it lands in.
+    pub(crate) fn insert(&mut self, d: Delivery) {
+        let slot = d.at.as_nanos().div_ceil(self.quantum);
+        debug_assert!(slot >= self.base, "delivery filed behind the open window");
+        let i = (slot - self.base) as usize;
+        if i >= self.buckets.len() {
+            self.buckets.resize_with(i + 1, Vec::new);
+        }
+        self.buckets[i].push(d);
+        self.len += 1;
+    }
+
+    /// Earliest pending arrival: the minimum of the first nonempty bucket.
+    fn min_time(&self) -> Option<SimTime> {
+        let bucket = self.buckets.iter().find(|b| !b.is_empty())?;
+        bucket.iter().map(|d| d.at).min()
+    }
+
+    /// Pushes every delivery landing at or before `end` into `wheel`,
+    /// keyed, and returns how many of them crossed a domain boundary.
+    /// Push order is irrelevant: the key fixes the pop order.
+    fn release(&mut self, end: SimTime, wheel: &mut EventQueue<Event>) -> u64 {
+        let mut crossed = 0;
+        let mut push = |d: Delivery| {
+            crossed += d.crossed as u64;
+            wheel.push_keyed(d.at, d.sent, d.uid, d.ev);
+        };
+        let end_slot = end.as_nanos().div_ceil(self.quantum);
+        // Whole buckets below the window end's slot are due. Drained
+        // buckets rotate to the back as the (empty) newest slot, so their
+        // capacity is reused.
+        while self.base < end_slot && self.len > 0 {
+            let mut bucket = self.buckets.pop_front().expect("len > 0");
+            self.len -= bucket.len();
+            bucket.drain(..).for_each(&mut push);
+            self.buckets.push_back(bucket);
+            self.base += 1;
+        }
+        self.base = self.base.max(end_slot);
+        // The window end's own slot is due up to `end` (all of it when
+        // `end` is a grid point).
+        if let Some(bucket) = self.buckets.front_mut() {
+            let mut i = 0;
+            while i < bucket.len() {
+                if bucket[i].at <= end {
+                    push(bucket.swap_remove(i));
+                    self.len -= 1;
+                } else {
+                    i += 1;
+                }
+            }
+        }
+        crossed
+    }
+}
+
 /// One partition of the network: a slice of the node arena plus
 /// everything those nodes need to run a window unassisted.
 struct Domain {
-    index: u32,
+    index: u16,
     /// Local nodes, densely packed (in ascending global-id order).
     nodes: Vec<Node>,
     /// One RNG stream per local node, parallel to `nodes`.
     rngs: Vec<SimRng>,
     /// This domain's private event wheel.
     wheel: EventQueue<Event>,
-    /// Wire deliveries produced this window, collected at the barrier.
-    outbox: Outbox,
+    /// Deliveries to this domain's nodes, waiting for their window.
+    inbox: Inbox,
+    /// Deliveries to other domains produced this window, routed at the
+    /// barrier.
+    outbox: Vec<Delivery>,
     /// This domain's private metrics (merged into the base at the end).
     rec: Recorder,
     /// Shared compiled fault schedule (content-keyed, so `&self` works).
     faults: Option<Arc<FaultState>>,
     /// Global node id -> local index within the owning domain.
     node_local: Arc<Vec<u32>>,
+    /// Global node id -> owning domain.
+    node_domain: Arc<Vec<u16>>,
 }
 
 impl Domain {
@@ -83,14 +184,16 @@ impl Domain {
     /// (rejected up front for domain runs).
     fn drain_window(&mut self, limit: SimTime) {
         let Domain {
+            index,
             nodes,
             rngs,
             wheel,
+            inbox,
             outbox,
             rec,
             faults,
             node_local,
-            ..
+            node_domain,
         } = self;
         while let Some((now, ev)) = wheel.pop_until(limit) {
             if let Some(fs) = faults.as_deref() {
@@ -115,70 +218,43 @@ impl Domain {
                     }
                 }
             }
-            let local = |id: vertigo_pkt::NodeId| node_local[id.index()] as usize;
-            match ev {
-                Event::Arrive { node, port, pkt } => {
+            let node = match &ev {
+                Event::Arrive { node, .. } => {
                     rec.audit.on_wire_rx();
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, outbox),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_arrive(pkt, &mut ctx),
-                        Node::Switch(s) => s.on_arrive(port, pkt, &mut ctx),
-                    }
+                    *node
                 }
-                Event::TxDone { node, port } => {
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, outbox),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_tx_done(&mut ctx),
-                        Node::Switch(s) => s.on_tx_done(port, &mut ctx),
-                    }
-                }
-                Event::HostTimer { node } => {
-                    let l = local(node);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, outbox),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.on_timer(&mut ctx),
-                        Node::Switch(_) => unreachable!("switches have no timers"),
-                    }
-                }
-                Event::FlowStart {
-                    src,
-                    dst,
-                    flow,
-                    query,
-                    bytes,
-                } => {
-                    let l = local(src);
-                    let mut ctx = Ctx {
-                        now,
-                        events: EventSink::routed(wheel, outbox),
-                        rec,
-                        rng: &mut rngs[l],
-                    };
-                    match &mut nodes[l] {
-                        Node::Host(h) => h.start_flow(flow, dst, bytes, query, &mut ctx),
-                        Node::Switch(_) => unreachable!("flows start at hosts"),
-                    }
-                }
+                Event::TxDone { node, .. } | Event::HostTimer { node } => *node,
+                Event::FlowStart(f) => f.src,
                 Event::TelemetrySample => {
                     unreachable!("the domain engine samples at barriers, not via events")
                 }
+            };
+            let l = node_local[node.index()] as usize;
+            let route = Route {
+                domain: *index,
+                node_domain,
+                inbox,
+                outbox,
+            };
+            let mut ctx = Ctx {
+                now,
+                events: EventSink::routed(wheel, route),
+                rec,
+                rng: &mut rngs[l],
+            };
+            match (ev, &mut nodes[l]) {
+                (Event::Arrive { pkt, .. }, Node::Host(h)) => h.on_arrive(pkt, &mut ctx),
+                (Event::Arrive { port, pkt, .. }, Node::Switch(s)) => {
+                    s.on_arrive(port, pkt, &mut ctx)
+                }
+                (Event::TxDone { .. }, Node::Host(h)) => h.on_tx_done(&mut ctx),
+                (Event::TxDone { port, .. }, Node::Switch(s)) => s.on_tx_done(port, &mut ctx),
+                (Event::HostTimer { .. }, Node::Host(h)) => h.on_timer(&mut ctx),
+                (Event::FlowStart(f), Node::Host(h)) => {
+                    h.start_flow(f.flow, f.dst, f.bytes, f.query, &mut ctx)
+                }
+                (ev, Node::Switch(_)) => unreachable!("switches have no timers or flows: {ev:?}"),
+                (ev, Node::Host(_)) => unreachable!("unroutable host event {ev:?}"),
             }
         }
     }
@@ -192,12 +268,11 @@ pub struct DomainSimulation {
     topo: Arc<Topology>,
     domains: Vec<Domain>,
     grid: LookaheadGrid,
-    mailbox: Mailbox<Event>,
     horizon: SimDuration,
     base_rec: Recorder,
     telemetry: Option<(TelemetryConfig, Telemetry)>,
     /// Global node id -> owning domain.
-    node_domain: Vec<u16>,
+    node_domain: Arc<Vec<u16>>,
     barrier_epochs: u64,
     cross_domain_packets: u64,
     peak_pending: u64,
@@ -239,7 +314,7 @@ impl DomainSimulation {
         );
         let grid = LookaheadGrid::new(quantum);
 
-        let node_domain = topo.partition(n);
+        let node_domain = Arc::new(topo.partition(n));
         let mut node_local = vec![0u32; topo.num_nodes()];
         let mut counts = vec![0u32; n];
         for (id, &d) in node_domain.iter().enumerate() {
@@ -251,15 +326,24 @@ impl DomainSimulation {
         let backend = events.backend();
 
         let mut domains: Vec<Domain> = (0..n)
-            .map(|i| Domain {
-                index: i as u32,
-                nodes: Vec::with_capacity(counts[i] as usize),
-                rngs: Vec::with_capacity(counts[i] as usize),
-                wheel: EventQueue::with_backend(backend),
-                outbox: Vec::new(),
-                rec: Recorder::new(),
-                faults: faults.clone(),
-                node_local: Arc::clone(&node_local),
+            .map(|i| {
+                let mut wheel = EventQueue::with_backend(backend);
+                // No window is open yet: the workload pushed below sorts
+                // before any delivery at its instant, as it was pushed
+                // before all of them.
+                wheel.set_window_end(SimTime::ZERO);
+                Domain {
+                    index: i as u16,
+                    nodes: Vec::with_capacity(counts[i] as usize),
+                    rngs: Vec::with_capacity(counts[i] as usize),
+                    wheel,
+                    inbox: Inbox::new(quantum),
+                    outbox: Vec::new(),
+                    rec: Recorder::new(),
+                    faults: faults.clone(),
+                    node_local: Arc::clone(&node_local),
+                    node_domain: Arc::clone(&node_domain),
+                }
             })
             .collect();
         for (id, node) in nodes.into_iter().enumerate() {
@@ -273,8 +357,8 @@ impl DomainSimulation {
         // are dropped (the coordinator samples at barriers instead).
         while let Some((at, ev)) = events.pop() {
             match ev {
-                Event::FlowStart { src, .. } => {
-                    domains[node_domain[src.index()] as usize]
+                Event::FlowStart(ref f) => {
+                    domains[node_domain[f.src.index()] as usize]
                         .wheel
                         .push(at, ev);
                 }
@@ -290,7 +374,6 @@ impl DomainSimulation {
             topo,
             domains,
             grid,
-            mailbox: Mailbox::new(),
             horizon,
             base_rec: rec,
             telemetry,
@@ -317,33 +400,19 @@ impl DomainSimulation {
         let mut prev_limit = SimTime::ZERO;
 
         loop {
-            // (1) Collect every delivery produced last window into the
-            // canonical mailbox. Domain order here is irrelevant: the
-            // mailbox sorts by (arrival, send time, uid).
-            for d in &mut self.domains {
-                let idx = d.index;
-                for e in d.outbox.drain(..) {
-                    self.mailbox.push(
-                        MailboxKey {
-                            at: e.at,
-                            sent: e.sent,
-                            key: e.uid,
-                        },
-                        e.ev,
-                        idx,
-                    );
-                }
-            }
+            // (1) Route every cross-domain delivery produced last window
+            // into its receiver's inbox. Domain order here is irrelevant:
+            // inboxes are unordered until the keyed push.
+            self.route_outboxes();
 
-            // (2) Global scheduler pressure (wheels + mailbox) peaks at
+            // (2) Global scheduler pressure (wheels + inboxes) peaks at
             // barriers; this is the domain analogue of the classic
             // queue's high-water mark and is domain-count-invariant.
             let pending: u64 = self
                 .domains
                 .iter()
-                .map(|d| d.wheel.len() as u64)
-                .sum::<u64>()
-                + self.mailbox.len() as u64;
+                .map(|d| (d.wheel.len() + d.inbox.len) as u64)
+                .sum();
             self.peak_pending = self.peak_pending.max(pending);
 
             // (3) Fire any telemetry sample the last window landed on
@@ -368,17 +437,13 @@ impl DomainSimulation {
             // (4) Earliest pending work anywhere; the sampling train keeps
             // the loop alive through quiet stretches, like the classic
             // engine's TelemetrySample events.
-            let mut m = self
+            let m = self
                 .domains
                 .iter()
-                .filter_map(|d| d.wheel.peek_time())
+                .flat_map(|d| [d.wheel.peek_time(), d.inbox.min_time()])
+                .chain([next_sample])
+                .flatten()
                 .min();
-            if let Some(t) = self.mailbox.min_time() {
-                m = Some(m.map_or(t, |u| u.min(t)));
-            }
-            if let Some(s) = next_sample {
-                m = Some(m.map_or(s, |u| u.min(s)));
-            }
             let Some(m) = m.filter(|&t| t <= horizon) else {
                 break; // quiescent (or only post-horizon events remain)
             };
@@ -391,25 +456,11 @@ impl DomainSimulation {
                 end = end.min(s);
             }
 
-            // (6) Inject every delivery landing in the window, in
-            // canonical order, counting boundary crossings.
-            for (key, ev, src) in self.mailbox.drain_until(end) {
-                let dst = match &ev {
-                    Event::Arrive { node, .. } => self.node_domain[node.index()] as usize,
-                    other => unreachable!("only Arrive routes through the mailbox: {other:?}"),
-                };
-                if src as usize != dst {
-                    self.cross_domain_packets += 1;
-                }
-                // Custody transfer: the sender's domain counted the tx;
-                // hand the in-flight packet to the receiver's tally so
-                // neither side underflows.
-                #[cfg(feature = "audit")]
-                {
-                    self.domains[src as usize].rec.audit.on_wire_rx();
-                    self.domains[dst].rec.audit.on_wire_tx();
-                }
-                self.domains[dst].wheel.push(key.at, ev);
+            // (6) Open the window: every delivery landing in it enters its
+            // wheel, keyed, counting boundary crossings.
+            for d in &mut self.domains {
+                d.wheel.set_window_end(end);
+                self.cross_domain_packets += d.inbox.release(end, &mut d.wheel);
             }
 
             // (7) One lockstep round.
@@ -426,6 +477,30 @@ impl DomainSimulation {
         }
 
         self.finalize(horizon)
+    }
+
+    /// Moves every outbox entry into its receiving domain's inbox.
+    fn route_outboxes(&mut self) {
+        for src in 0..self.domains.len() {
+            let mut outbox = std::mem::take(&mut self.domains[src].outbox);
+            for mut d in outbox.drain(..) {
+                let Event::Arrive { node, .. } = &d.ev else {
+                    unreachable!("only Arrive travels between domains: {:?}", d.ev)
+                };
+                let dst = self.node_domain[node.index()] as usize;
+                d.crossed = true;
+                // Custody transfer: the sender's domain counted the tx;
+                // hand the in-flight packet to the receiver's tally so
+                // neither side underflows.
+                #[cfg(feature = "audit")]
+                {
+                    self.domains[src].rec.audit.on_wire_rx();
+                    self.domains[dst].rec.audit.on_wire_tx();
+                }
+                self.domains[dst].inbox.insert(d);
+            }
+            self.domains[src].outbox = outbox; // keep the capacity
+        }
     }
 
     /// Collects one telemetry sample at time `s` (called at a barrier
@@ -524,7 +599,7 @@ impl DomainSimulation {
                     }
                 }
             }
-            // In-flight custody at the horizon = wheel arrivals + mailbox
+            // In-flight custody at the horizon = wheel arrivals + inboxes
             // + outboxes, all already summed into the merged `wire` tally.
             crate::audit::check_conservation(&mut rec, nic_queued, switch_queued, "end of run");
             crate::audit::check_flow_accounting(&mut rec);

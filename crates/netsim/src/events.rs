@@ -1,5 +1,6 @@
 //! Simulation events and the handler context.
 
+use crate::domain::{Delivery, Inbox};
 use vertigo_pkt::{FlowId, NodeId, Packet, PortId, QueryId};
 use vertigo_simcore::{EventQueue, SimRng, SimTime, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::Recorder;
@@ -32,19 +33,25 @@ pub enum Event {
     /// The periodic telemetry sampler fired (handled by the driver, not a
     /// node).
     TelemetrySample,
-    /// The application opens a flow at `src`.
-    FlowStart {
-        /// Sending host.
-        src: NodeId,
-        /// Receiving host.
-        dst: NodeId,
-        /// Flow id assigned by the driver.
-        flow: FlowId,
-        /// Owning query (`QueryId::NONE` for background traffic).
-        query: QueryId,
-        /// Flow size in bytes.
-        bytes: u64,
-    },
+    /// The application opens a flow. Boxed so every event, and every
+    /// queue node carrying one, stays at 16 bytes: a flow starts once,
+    /// while the other variants fire several times per packet hop.
+    FlowStart(Box<FlowStart>),
+}
+
+/// The payload of [`Event::FlowStart`].
+#[derive(Debug)]
+pub struct FlowStart {
+    /// Sending host.
+    pub src: NodeId,
+    /// Receiving host.
+    pub dst: NodeId,
+    /// Flow id assigned by the driver.
+    pub flow: FlowId,
+    /// Owning query (`QueryId::NONE` for background traffic).
+    pub query: QueryId,
+    /// Flow size in bytes.
+    pub bytes: u64,
 }
 
 impl Snapshot for Event {
@@ -66,13 +73,14 @@ impl Snapshot for Event {
                 node.save(w);
             }
             Event::TelemetrySample => w.put_u8(3),
-            Event::FlowStart {
-                src,
-                dst,
-                flow,
-                query,
-                bytes,
-            } => {
+            Event::FlowStart(f) => {
+                let FlowStart {
+                    src,
+                    dst,
+                    flow,
+                    query,
+                    bytes,
+                } = &**f;
                 w.put_u8(4);
                 src.save(w);
                 dst.save(w);
@@ -98,60 +106,52 @@ impl Snapshot for Event {
                 node: NodeId::restore(r)?,
             },
             3 => Event::TelemetrySample,
-            4 => Event::FlowStart {
+            4 => Event::FlowStart(Box::new(FlowStart {
                 src: NodeId::restore(r)?,
                 dst: NodeId::restore(r)?,
                 flow: FlowId::restore(r)?,
                 query: QueryId::restore(r)?,
                 bytes: r.get_u64()?,
-            },
+            })),
             tag => return Err(SnapError::new(format!("invalid Event tag {tag:#x}"))),
         })
     }
 }
 
-/// One wire delivery captured for cross-domain exchange: the scheduled
-/// arrival, the send time, and the packet's globally unique id (the
-/// canonical merge tie-breaker — content-derived, partition-independent).
-#[derive(Debug)]
-pub struct OutEntry {
-    /// When the packet lands.
-    pub at: SimTime,
-    /// When it was transmitted.
-    pub sent: SimTime,
-    /// The packet's unique id (`Packet::uid`).
-    pub uid: u64,
-    /// The buffered `Event::Arrive`.
-    pub ev: Event,
-}
-
-/// Buffered wire deliveries produced by one domain during one window.
-pub type Outbox = Vec<OutEntry>;
-
 /// Where scheduled events go: straight into the local queue (classic
 /// single-queue engine), or — in the domain-partitioned engine — wire
-/// deliveries (`Event::Arrive`) detour through an outbox so the barrier
-/// can merge them in canonical order, while self-targeted events
-/// (`TxDone`, `HostTimer`) stay local.
+/// deliveries (`Event::Arrive`) detour into the receiving domain's inbox
+/// (directly when the receiver is local, through the outbox and the
+/// barrier otherwise), while self-targeted events (`TxDone`,
+/// `HostTimer`) stay in the local queue.
 pub struct EventSink<'a> {
     queue: &'a mut EventQueue<Event>,
-    outbox: Option<&'a mut Outbox>,
+    route: Option<Route<'a>>,
+}
+
+/// The domain engine's delivery routing for one domain's window.
+pub(crate) struct Route<'a> {
+    /// The domain running the window.
+    pub(crate) domain: u16,
+    /// Global node id -> owning domain.
+    pub(crate) node_domain: &'a [u16],
+    /// This domain's pending deliveries.
+    pub(crate) inbox: &'a mut Inbox,
+    /// Deliveries for other domains, routed at the next barrier.
+    pub(crate) outbox: &'a mut Vec<Delivery>,
 }
 
 impl<'a> EventSink<'a> {
     /// A sink that pushes everything into `queue` (classic engine).
     pub fn direct(queue: &'a mut EventQueue<Event>) -> Self {
-        EventSink {
-            queue,
-            outbox: None,
-        }
+        EventSink { queue, route: None }
     }
 
-    /// A sink that detours `Arrive` events into `outbox` (domain engine).
-    pub(crate) fn routed(queue: &'a mut EventQueue<Event>, outbox: &'a mut Outbox) -> Self {
+    /// A sink that detours `Arrive` events along `route` (domain engine).
+    pub(crate) fn routed(queue: &'a mut EventQueue<Event>, route: Route<'a>) -> Self {
         EventSink {
             queue,
-            outbox: Some(outbox),
+            route: Some(route),
         }
     }
 
@@ -164,18 +164,23 @@ impl<'a> EventSink<'a> {
     /// Schedules `ev` at absolute time `at`.
     #[inline]
     pub fn push(&mut self, at: SimTime, ev: Event) {
-        match (&mut self.outbox, &ev) {
-            (Some(outbox), Event::Arrive { pkt, .. }) => {
-                let uid = pkt.uid;
-                outbox.push(OutEntry {
-                    at,
-                    sent: self.queue.now(),
-                    uid,
-                    ev,
-                });
+        if let (Some(route), Event::Arrive { node, pkt, .. }) = (&mut self.route, &ev) {
+            let local = route.node_domain[node.index()] == route.domain;
+            let delivery = Delivery {
+                at,
+                sent: self.queue.now(),
+                uid: pkt.uid,
+                ev,
+                crossed: false,
+            };
+            if local {
+                route.inbox.insert(delivery);
+            } else {
+                route.outbox.push(delivery);
             }
-            _ => self.queue.push(at, ev),
+            return;
         }
+        self.queue.push(at, ev);
     }
 
     /// Schedules `ev` at `now + delay`.
@@ -212,4 +217,17 @@ pub struct Ctx<'a> {
     /// The node's random stream (per-node in the domain engine; the
     /// run-global stream in the classic engine).
     pub rng: &'a mut SimRng,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn events_stay_two_words() {
+        // Every event-queue node carries one event; `FlowStart` is boxed
+        // so the common variants set the size.
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Event>>(), 16);
+    }
 }

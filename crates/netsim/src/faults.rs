@@ -483,7 +483,7 @@ impl FaultState {
                     None => FaultAction::Pass,
                 }
             }
-            Event::FlowStart { src, .. } => match self.frozen_until(now, src) {
+            Event::FlowStart(ref f) => match self.frozen_until(now, f.src) {
                 Some(until) => FaultAction::Defer(until),
                 None => FaultAction::Pass,
             },
@@ -545,7 +545,7 @@ impl FaultState {
                     None => FaultAction::Pass,
                 }
             }
-            Event::FlowStart { src, .. } => match self.frozen_until(now, src) {
+            Event::FlowStart(ref f) => match self.frozen_until(now, f.src) {
                 Some(until) => FaultAction::Defer(until),
                 None => FaultAction::Pass,
             },

@@ -2,7 +2,7 @@
 //! flow/query schedules from the workload layer, runs the event loop to a
 //! horizon, and produces a [`Report`].
 
-use crate::events::{Ctx, Event, EventSink};
+use crate::events::{Ctx, Event, EventSink, FlowStart};
 use crate::faults::{FaultAction, FaultSchedule, FaultState};
 use crate::host::{Host, HostConfig};
 use crate::link::LinkParams;
@@ -308,13 +308,13 @@ impl Simulation {
         self.next_flow += 1;
         self.events.push(
             at,
-            Event::FlowStart {
+            Event::FlowStart(Box::new(FlowStart {
                 src,
                 dst,
                 flow,
                 query,
                 bytes,
-            },
+            })),
         );
         flow
     }
@@ -450,14 +450,8 @@ impl Simulation {
                     #[cfg(feature = "audit")]
                     audit_conservation(nodes, ctx.rec, "telemetry sample");
                 }
-                Event::FlowStart {
-                    src,
-                    dst,
-                    flow,
-                    query,
-                    bytes,
-                } => match &mut nodes[src.index()] {
-                    Node::Host(h) => h.start_flow(flow, dst, bytes, query, &mut ctx),
+                Event::FlowStart(f) => match &mut nodes[f.src.index()] {
+                    Node::Host(h) => h.start_flow(f.flow, f.dst, f.bytes, f.query, &mut ctx),
                     Node::Switch(_) => unreachable!("flows start at hosts"),
                 },
             }

@@ -9,7 +9,7 @@ use crate::queue::PortQueue;
 use crate::topology::RouteTable;
 use std::sync::Arc;
 use vertigo_pkt::{ecmp_hash, pool, NodeId, Packet, PortId, MAX_HOPS};
-use vertigo_simcore::{SnapError, SnapReader, SnapWriter, Snapshot};
+use vertigo_simcore::{SimRng, SnapError, SnapReader, SnapWriter, Snapshot};
 use vertigo_stats::{pack_ports, DropCause, TraceKind, TraceRecord, TRACE_NO_RANK};
 
 /// Emits one provenance record for `pkt`. A free function rather than a
@@ -75,6 +75,12 @@ pub struct Switch {
     /// Reusable buffer for deflection-candidate port lists, so deflecting
     /// a packet allocates nothing on the steady path.
     pub(crate) deflect_scratch: Vec<u16>,
+    /// Reusable buffer for random candidate indices (DRILL, power-of-n
+    /// forwarding and deflection sampling).
+    pick_scratch: Vec<usize>,
+    /// Reusable buffer for the sampled deflection ports; see
+    /// [`Switch::sample_ports`].
+    pub(crate) sample_scratch: Vec<u16>,
     /// Administratively-downed ports: never offered as deflection
     /// candidates. All-false by default; set by tests and operators, not
     /// by the fault layer (which intercepts at event dispatch).
@@ -113,6 +119,8 @@ impl Switch {
             drill_best: vec![None; hosts],
             ecmp_salt,
             deflect_scratch: Vec::new(),
+            pick_scratch: Vec::new(),
+            sample_scratch: Vec::new(),
             down: vec![false; nports],
             load_ewma: 0,
             mutate_victim: false,
@@ -304,7 +312,8 @@ impl Switch {
                         let k = d.min(n);
                         let mut best: Option<u16> = None;
                         let mut best_bytes = u64::MAX;
-                        for i in ctx.rng.k_distinct(k, n) {
+                        ctx.rng.k_distinct(k, n, &mut self.pick_scratch);
+                        for &i in &self.pick_scratch {
                             let p = cands[i];
                             let b = self.ports[p as usize].queue.bytes();
                             if best.is_none() || b < best_bytes {
@@ -327,7 +336,8 @@ impl Switch {
                         let k = power.max(1).min(n);
                         let mut best: Option<u16> = None;
                         let mut best_bytes = u64::MAX;
-                        for i in ctx.rng.k_distinct(k, n) {
+                        ctx.rng.k_distinct(k, n, &mut self.pick_scratch);
+                        for &i in &self.pick_scratch {
                             let p = cands[i];
                             let b = self.ports[p as usize].queue.bytes();
                             if best.is_none() || b < best_bytes {
@@ -535,6 +545,18 @@ impl Switch {
         cands
     }
 
+    /// Draws `k` distinct ports of `cands` (the `SimRng::k_distinct`
+    /// draws, in draw order). Returns the switch's sample buffer,
+    /// detached like [`Switch::deflect_candidates`]'s: callers hand it
+    /// back by assigning `self.sample_scratch` once done.
+    pub(crate) fn sample_ports(&mut self, cands: &[u16], k: usize, rng: &mut SimRng) -> Vec<u16> {
+        rng.k_distinct(k, cands.len(), &mut self.pick_scratch);
+        let mut sample = std::mem::take(&mut self.sample_scratch);
+        sample.clear();
+        sample.extend(self.pick_scratch.iter().map(|&i| cands[i]));
+        sample
+    }
+
     /// Vertigo deflection: power-of-n placement; on total congestion force
     /// the victim in and drop the worst-ranked packet (paper footnote 5).
     /// `arriving_uid` identifies the packet that triggered the overflow,
@@ -557,12 +579,7 @@ impl Switch {
             return;
         }
         let k = power.max(1).min(cands.len());
-        let sample: Vec<u16> = ctx
-            .rng
-            .k_distinct(k, cands.len())
-            .into_iter()
-            .map(|i| cands[i])
-            .collect();
+        let sample = self.sample_ports(&cands, k, ctx.rng);
         self.deflect_scratch = cands;
         // Least-loaded sampled queue (the seeded mutation flips this to
         // most-loaded, so golden traces catch selection regressions).
@@ -605,6 +622,7 @@ impl Switch {
                 ctx,
             );
             trace_deflect(self, ctx, &victim, chosen, false);
+            self.sample_scratch = sample;
             self.ports[chosen as usize].queue.push(victim);
             self.start_tx(chosen, ctx);
             return;
@@ -616,6 +634,7 @@ impl Switch {
         victim.deflections += 1;
         ctx.rec.deflections += 1;
         trace_deflect(self, ctx, &victim, forced, true);
+        self.sample_scratch = sample;
         let q = &mut self.ports[forced as usize].queue;
         q.push(victim);
         while q.bytes() > cap {

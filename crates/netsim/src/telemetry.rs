@@ -48,7 +48,8 @@ pub struct Telemetry {
     /// Parallel to `samples`: the per-domain breakdown of
     /// `pending_events` when the domain engine collected the sample
     /// (`domain_pending[i][d]` = events pending in domain `d`'s wheel at
-    /// sample `i`; the cross-domain mailbox accounts for the remainder).
+    /// sample `i`; deliveries waiting in the domains' inboxes account for
+    /// the remainder).
     /// Empty for classic single-queue runs. Kept out of
     /// [`TelemetrySample`] so the sample stays `Copy` and the snapshot
     /// format is untouched — snapshots and domains are mutually

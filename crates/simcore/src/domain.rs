@@ -9,16 +9,17 @@
 //! * [`LookaheadGrid`] — the window arithmetic. Windows end on multiples
 //!   of the lookahead quantum, which makes the barrier schedule a pure
 //!   function of event *times* (never of how the model was partitioned).
-//! * [`Mailbox`] — the deterministic cross-domain exchange buffer. All
-//!   deliveries routed through it are re-injected in a canonical
-//!   `(arrival time, send time, key)` order, independent of which domain
-//!   produced them or in what order threads finished.
+//! * [`EventQueue::push_keyed`](crate::EventQueue::push_keyed) and
+//!   [`EventQueue::set_window_end`](crate::EventQueue::set_window_end) —
+//!   the deterministic merge order. A delivery pushed keyed by
+//!   `(send time, unique id)` when its window opens pops at its instant
+//!   in that canonical order, independent of which domain produced it or
+//!   in what order threads finished; no sorted exchange buffer is needed.
 //!
-//! Both are deliberately dumb data structures: the driving loop (who
-//! drains what, when threads run) belongs to the model layer.
+//! The driving loop (who drains what, when threads run, where deliveries
+//! wait) belongs to the model layer.
 
 use crate::SimTime;
-use std::collections::BTreeMap;
 
 /// Window arithmetic for a conservative lookahead barrier.
 ///
@@ -64,103 +65,6 @@ impl LookaheadGrid {
     }
 }
 
-/// One buffered cross-domain delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MailboxKey {
-    /// When the delivery lands.
-    pub at: SimTime,
-    /// When it was sent (the simulation clock at push time).
-    pub sent: SimTime,
-    /// A globally unique, partition-independent tie-breaker.
-    pub key: u64,
-}
-
-/// Deterministic cross-domain exchange buffer.
-///
-/// Entries are stored keyed by `(at, sent, key)`; [`Mailbox::drain_until`]
-/// yields them in exactly that order. As long as `key` is unique and
-/// derived from content (not from partition layout), the injection order
-/// seen by every receiving domain is the same for any domain count.
-#[derive(Debug)]
-pub struct Mailbox<E> {
-    entries: BTreeMap<(u64, u64, u64), (E, u32)>,
-}
-
-impl<E> Default for Mailbox<E> {
-    fn default() -> Self {
-        Mailbox {
-            entries: BTreeMap::new(),
-        }
-    }
-}
-
-impl<E> Mailbox<E> {
-    /// An empty mailbox.
-    pub fn new() -> Self {
-        Mailbox::default()
-    }
-
-    /// Number of buffered deliveries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Buffers a delivery from `src_domain`.
-    ///
-    /// # Panics
-    /// Panics if an entry with the same `(at, sent, key)` already exists:
-    /// keys must be unique or the merge order would be ambiguous.
-    pub fn push(&mut self, k: MailboxKey, ev: E, src_domain: u32) {
-        let prev = self.entries.insert(
-            (k.at.as_nanos(), k.sent.as_nanos(), k.key),
-            (ev, src_domain),
-        );
-        assert!(
-            prev.is_none(),
-            "mailbox key collision at t={:?} key={}: cross-domain merge order \
-             would be ambiguous",
-            k.at,
-            k.key
-        );
-    }
-
-    /// Earliest buffered arrival time, if any.
-    pub fn min_time(&self) -> Option<SimTime> {
-        self.entries
-            .keys()
-            .next()
-            .map(|&(at, _, _)| SimTime::from_nanos(at))
-    }
-
-    /// Removes and returns every delivery with `at <= limit`, in canonical
-    /// `(at, sent, key)` order.
-    pub fn drain_until(&mut self, limit: SimTime) -> Vec<(MailboxKey, E, u32)> {
-        let bound = limit.as_nanos();
-        let mut out = Vec::new();
-        while let Some((&(at, sent, key), _)) = self.entries.iter().next() {
-            if at > bound {
-                break;
-            }
-            let (ev, src) = self.entries.remove(&(at, sent, key)).unwrap();
-            out.push((
-                MailboxKey {
-                    at: SimTime::from_nanos(at),
-                    sent: SimTime::from_nanos(sent),
-                    key,
-                },
-                ev,
-                src,
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,48 +92,5 @@ mod tests {
     #[should_panic(expected = "lookahead quantum must be positive")]
     fn zero_quantum_rejected() {
         let _ = LookaheadGrid::new(0);
-    }
-
-    #[test]
-    fn mailbox_drains_in_canonical_order_regardless_of_push_order() {
-        let mut m: Mailbox<&'static str> = Mailbox::new();
-        let k = |at, sent, key| MailboxKey {
-            at: SimTime::from_nanos(at),
-            sent: SimTime::from_nanos(sent),
-            key,
-        };
-        // Push in scrambled "thread finish" order.
-        m.push(k(200, 100, 7), "c", 1);
-        m.push(k(100, 50, 9), "b", 0);
-        m.push(k(100, 10, 9), "a", 2);
-        m.push(k(300, 0, 1), "d", 0);
-        let got: Vec<_> = m
-            .drain_until(SimTime::from_nanos(200))
-            .into_iter()
-            .map(|(_, e, _)| e)
-            .collect();
-        assert_eq!(got, vec!["a", "b", "c"]);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.min_time(), Some(SimTime::from_nanos(300)));
-        let rest: Vec<_> = m
-            .drain_until(SimTime::from_nanos(300))
-            .into_iter()
-            .map(|(_, e, _)| e)
-            .collect();
-        assert_eq!(rest, vec!["d"]);
-        assert!(m.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "mailbox key collision")]
-    fn duplicate_key_is_a_bug() {
-        let mut m: Mailbox<u8> = Mailbox::new();
-        let k = MailboxKey {
-            at: SimTime::from_nanos(5),
-            sent: SimTime::ZERO,
-            key: 42,
-        };
-        m.push(k, 1, 0);
-        m.push(k, 2, 1);
     }
 }

@@ -1,15 +1,38 @@
 //! The event queue at the heart of the discrete-event simulator.
 //!
 //! [`EventQueue`] is a time-ordered priority queue. Events scheduled for the
-//! same instant pop in insertion order (a monotonic sequence number breaks
-//! ties), which makes whole simulations bit-reproducible for a given seed —
-//! a property the test suite asserts end to end.
+//! same instant pop in the order of a static *tie key*, which makes whole
+//! simulations bit-reproducible for a given seed — a property the test
+//! suite asserts end to end.
+//!
+//! ## The tie key
+//!
+//! Two kinds of push exist:
+//!
+//! * a **plain** push ([`EventQueue::push`], [`EventQueue::push_after`]);
+//! * a **keyed** push ([`EventQueue::push_keyed`]), which carries a send
+//!   time and a unique id — the domain engine's wire deliveries.
+//!
+//! At one instant, events pop in three classes, FIFO by insertion
+//! sequence inside each plain class:
+//!
+//! 1. plain pushes that landed *beyond* the open window's end when they
+//!    were made ([`EventQueue::set_window_end`]);
+//! 2. keyed pushes, by `(sent, uid)`;
+//! 3. plain pushes that landed inside the open window.
+//!
+//! The window end defaults to `u64::MAX`, so a queue that never opens a
+//! window (the classic engine) puts every plain push in class 3 and pops
+//! ties in plain insertion order. The domain engine opens each barrier
+//! window before it runs it; the key then reproduces "pushed before the
+//! window's deliveries were injected / pushed after" without depending on
+//! the order in which deliveries reach the queue.
 //!
 //! Two interchangeable backends implement that contract:
 //!
 //! * [`EventBackend::Wheel`] (the default) — a hierarchical timing wheel
 //!   with amortized O(1) push/pop; see [`crate::wheel`]'s module docs.
-//! * [`EventBackend::Heap`] — the original `BinaryHeap` implementation,
+//! * [`EventBackend::Heap`] — a `BinaryHeap` ordered by the same key,
 //!   retained as [`HeapEventQueue`](crate::HeapEventQueue) and selectable
 //!   here so entire simulations can be replayed on it; the differential
 //!   test suite asserts both produce identical event sequences (and
@@ -19,6 +42,30 @@ use crate::heapq::HeapEventQueue;
 use crate::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimingWheel;
+
+/// The pop order of one event among others at the same instant:
+/// `(class, hi, lo)`, compared lexicographically. See the module docs.
+pub(crate) type TieKey = (u8, u64, u64);
+
+/// Class of a plain push that landed beyond the open window's end.
+pub(crate) const EARLY: u8 = 0;
+/// Class of a keyed push.
+pub(crate) const KEYED: u8 = 1;
+/// Class of a plain push that landed inside the open window.
+pub(crate) const LATE: u8 = 2;
+
+/// Tie key of the plain push number `seq` landing at `at`.
+#[inline(always)]
+pub(crate) fn plain_key(at: u64, window_end: u64, seq: u64) -> TieKey {
+    let class = if at > window_end { EARLY } else { LATE };
+    (class, seq, 0)
+}
+
+/// Tie key of a keyed push.
+#[inline(always)]
+pub(crate) fn keyed_key(sent: SimTime, uid: u64) -> TieKey {
+    (KEYED, sent.as_nanos(), uid)
+}
 
 /// Which data structure backs an [`EventQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,7 +89,8 @@ enum Backend<E> {
 
 /// A deterministic, time-ordered event queue.
 ///
-/// The queue tracks the current simulation clock: [`EventQueue::pop`]
+/// Ties pop by the static key described in the [module docs](self). The
+/// queue tracks the current simulation clock: [`EventQueue::pop`]
 /// advances it to the timestamp of the event being delivered, and scheduling
 /// an event in the past is a logic error caught by a debug assertion (it is
 /// clamped to `now` in release builds so a simulation never travels back in
@@ -121,6 +169,38 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Schedules a keyed event: at `at`, ties sort by `(sent, uid)`
+    /// between the two plain classes (see the [module docs](self)).
+    /// `(sent, uid)` should be unique among events at one instant; exact
+    /// duplicates pop in insertion order.
+    ///
+    /// Same past-scheduling rule as [`EventQueue::push`].
+    #[inline]
+    pub fn push_keyed(&mut self, at: SimTime, sent: SimTime, uid: u64, ev: E) {
+        #[cfg(feature = "audit")]
+        assert!(
+            at >= self.now(),
+            "audit: event scheduled in the past (at {:?} < now {:?})",
+            at,
+            self.now()
+        );
+        match &mut self.inner {
+            Backend::Wheel(q) => q.push_keyed(at, sent, uid, ev),
+            Backend::Heap(q) => q.push_keyed(at, sent, uid, ev),
+        }
+    }
+
+    /// Opens a window ending at `end`: from now on, a plain push landing
+    /// after `end` sorts before keyed events at its instant, one landing
+    /// at or before `end` after them. Events already queued keep their
+    /// keys.
+    pub fn set_window_end(&mut self, end: SimTime) {
+        match &mut self.inner {
+            Backend::Wheel(q) => q.set_window_end(end),
+            Backend::Heap(q) => q.set_window_end(end),
+        }
+    }
+
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp. Returns `None` when the queue is empty.
     #[inline]
@@ -190,9 +270,12 @@ impl<E: Snapshot> EventQueue<E> {
     /// the queue in place so the simulation keeps running unperturbed.
     ///
     /// Pop order is the only ordering fact the restored queue needs: the
-    /// rebuild re-files events with fresh tie-breaking sequences `0..n`
+    /// rebuild re-files events as plain pushes with fresh sequences `0..n`
     /// and then restores the insertion counter to its original value, so
     /// FIFO ties survive and future pushes order after every pending tie.
+    /// Tie keys and the window end are not part of the format: the
+    /// rebuilt queue has no window open, which is the state of every
+    /// queue that is checkpointed (the classic engine's).
     /// The drain-and-rebuild is invisible to the running simulation
     /// (identical clock, counters, and pop sequence afterwards); the
     /// wheel/heap differential suite plus the snapshot proptests pin that
@@ -507,6 +590,28 @@ mod tests {
     fn restore_rejects_garbage() {
         let mut r = SnapReader::new(&[1, 2, 3]);
         assert!(EventQueue::<u64>::restore_from(&mut r, EventBackend::Wheel).is_err());
+    }
+
+    #[test]
+    fn tie_key_orders_plain_classes_around_keyed_events() {
+        both(|b| {
+            let mut q = EventQueue::with_backend(b);
+            let t = SimTime::from_nanos(2_000);
+            q.set_window_end(SimTime::from_nanos(1_000));
+            q.push(t, "early-0");
+            q.push(t, "early-1");
+            q.set_window_end(SimTime::from_nanos(3_000));
+            q.push(t, "late-0");
+            q.push_keyed(t, SimTime::from_nanos(5), 2, "keyed-b");
+            q.push_keyed(t, SimTime::from_nanos(5), 1, "keyed-a");
+            q.push(t, "late-1");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(
+                order,
+                ["early-0", "early-1", "keyed-a", "keyed-b", "late-0", "late-1"]
+            );
+            assert_eq!(q.scheduled_total(), 6);
+        });
     }
 
     #[test]

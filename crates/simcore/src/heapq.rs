@@ -1,28 +1,38 @@
-//! The original `BinaryHeap`-backed event queue, retained as the reference
+//! The `BinaryHeap`-backed event queue, retained as the reference
 //! implementation ("oracle") for the timing-wheel backend.
 //!
-//! [`HeapEventQueue`] is the exact pre-wheel implementation: O(log n)
-//! push/pop over a `Reverse<Entry>` heap. It stays in-tree for three
+//! [`HeapEventQueue`] is O(log n) push/pop over a `Reverse<Entry>` heap
+//! ordered by `(timestamp, tie key, insertion sequence)` — the tie key of
+//! [`crate::event`], spelled out as a plain comparison. It stays in-tree
+//! for three
 //! reasons: differential proptests drive it in lockstep with the wheel and
 //! assert identical pop sequences; the criterion benches measure the wheel
 //! against it; and [`EventBackend::Heap`](crate::EventBackend) lets a whole
 //! simulation run on it to prove end-to-end byte-identical output.
 
+use crate::event::{keyed_key, plain_key, TieKey};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 struct Entry<E> {
     at: SimTime,
+    key: TieKey,
     seq: u64,
     ev: E,
 }
 
-// Ordering considers only (at, seq) — the payload needs no comparison
-// traits, and (at, seq) is unique per entry so the ordering is total.
+impl<E> Entry<E> {
+    fn order(&self) -> (SimTime, TieKey, u64) {
+        (self.at, self.key, self.seq)
+    }
+}
+
+// Ordering considers only (at, key, seq) — the payload needs no
+// comparison traits, and seq is unique per entry so the ordering is total.
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
+        self.order() == other.order()
     }
 }
 
@@ -30,7 +40,7 @@ impl<E> Eq for Entry<E> {}
 
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.order().cmp(&other.order())
     }
 }
 
@@ -43,13 +53,14 @@ impl<E> PartialOrd for Entry<E> {
 /// A deterministic, time-ordered event queue backed by a binary heap.
 ///
 /// Semantics are identical to [`EventQueue`](crate::EventQueue): time
-/// order, FIFO among equal timestamps via a monotonic sequence number, a
-/// clock that advances with `pop`, and a debug assertion against
-/// scheduling into the past (clamped to `now` in release builds).
+/// order, ties by the static tie key (FIFO among plain pushes of one
+/// class), a clock that advances with `pop`, and a debug assertion
+/// against scheduling into the past (clamped to `now` in release builds).
 pub struct HeapEventQueue<E> {
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
+    window_end: u64,
     peak: usize,
 }
 
@@ -60,6 +71,7 @@ impl<E> HeapEventQueue<E> {
             heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
+            window_end: u64::MAX,
             peak: 0,
         }
     }
@@ -80,20 +92,41 @@ impl<E> HeapEventQueue<E> {
             "scheduled an event in the past: {at:?} < {:?}",
             self.now
         );
-        let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, ev }));
-        self.peak = self.peak.max(self.heap.len());
+        self.push_plain(at.max(self.now), ev);
     }
 
     /// Schedules `ev` for `delay` after the current clock.
     #[inline]
     pub fn push_after(&mut self, delay: SimDuration, ev: E) {
-        let at = self.now + delay;
+        self.push_plain(self.now + delay, ev);
+    }
+
+    /// Schedules a keyed event; see
+    /// [`EventQueue::push_keyed`](crate::EventQueue::push_keyed).
+    pub fn push_keyed(&mut self, at: SimTime, sent: SimTime, uid: u64, ev: E) {
+        debug_assert!(
+            at >= self.now,
+            "scheduled an event in the past: {at:?} < {:?}",
+            self.now
+        );
+        self.insert(at.max(self.now), keyed_key(sent, uid), ev);
+    }
+
+    /// Opens a window ending at `end`; see
+    /// [`EventQueue::set_window_end`](crate::EventQueue::set_window_end).
+    pub fn set_window_end(&mut self, end: SimTime) {
+        self.window_end = end.as_nanos();
+    }
+
+    fn push_plain(&mut self, at: SimTime, ev: E) {
+        let key = plain_key(at.as_nanos(), self.window_end, self.seq);
+        self.insert(at, key, ev);
+    }
+
+    fn insert(&mut self, at: SimTime, key: TieKey, ev: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, ev }));
+        self.heap.push(Reverse(Entry { at, key, seq, ev }));
         self.peak = self.peak.max(self.heap.len());
     }
 
@@ -156,13 +189,9 @@ impl<E> HeapEventQueue<E> {
         q.now = SimTime::from_nanos(now);
         let n = events.len();
         debug_assert!(scheduled_total >= n as u64);
-        for (i, (at, ev)) in events.into_iter().enumerate() {
+        for (at, ev) in events {
             debug_assert!(at >= now, "snapshot held an event in the past");
-            q.heap.push(Reverse(Entry {
-                at: SimTime::from_nanos(at.max(now)),
-                seq: i as u64,
-                ev,
-            }));
+            q.push_plain(SimTime::from_nanos(at.max(now)), ev);
         }
         q.seq = scheduled_total;
         q.peak = peak.max(n);

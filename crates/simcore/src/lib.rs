@@ -4,15 +4,17 @@
 //! reproduction. It deliberately knows nothing about networks: it provides
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution simulation clock,
-//! * [`EventQueue`] — a time-ordered event queue with FIFO tie-breaking,
-//!   backed by a hierarchical timing wheel (amortized O(1)); the original
-//!   binary-heap implementation is retained as [`HeapEventQueue`] and
-//!   selectable via [`EventBackend`] for differential testing,
+//! * [`EventQueue`] — a time-ordered event queue with a static tie key
+//!   (FIFO among plain pushes, `(sent, uid)` among keyed deliveries),
+//!   backed by a slab-based hierarchical timing wheel (amortized O(1));
+//!   a binary-heap implementation of the same order is retained as
+//!   [`HeapEventQueue`] and selectable via [`EventBackend`] for
+//!   differential testing,
 //! * [`SimRng`] — seeded randomness with forkable independent streams,
 //! * [`TimerSlot`] / [`TimerToken`] — O(1)-cancellable logical timers,
-//! * [`LookaheadGrid`] / [`Mailbox`] / [`WorkerPool`] — model-agnostic
-//!   building blocks for conservative parallel (domain-partitioned)
-//!   simulation with deterministic cross-domain merge order.
+//! * [`LookaheadGrid`] / [`WorkerPool`] — model-agnostic building blocks
+//!   for conservative parallel (domain-partitioned) simulation; keyed
+//!   pushes give it a deterministic cross-domain merge order.
 //!
 //! Determinism contract: given the same seed and the same sequence of
 //! `push`/`pop` calls, a simulation built on these primitives produces
@@ -33,7 +35,7 @@ mod timer;
 mod wheel;
 
 pub use barrier::WorkerPool;
-pub use domain::{LookaheadGrid, Mailbox, MailboxKey};
+pub use domain::LookaheadGrid;
 pub use event::{EventBackend, EventQueue};
 pub use heapq::HeapEventQueue;
 pub use rng::SimRng;

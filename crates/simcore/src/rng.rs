@@ -113,29 +113,30 @@ impl SimRng {
         (a, b)
     }
 
-    /// `k` distinct uniform indices in `[0, n)` (partial Fisher–Yates).
-    /// Requires `k <= n`.
-    pub fn k_distinct(&mut self, k: usize, n: usize) -> Vec<usize> {
+    /// Fills `out` with `k` distinct uniform indices in `[0, n)`, in draw
+    /// order (rejection sampling when sparse, partial Fisher–Yates when
+    /// dense). `out` is cleared first; callers on hot paths keep one
+    /// buffer and reuse it, so a draw allocates nothing once the buffer
+    /// has grown. Requires `k <= n`.
+    pub fn k_distinct(&mut self, k: usize, n: usize, out: &mut Vec<usize>) {
         assert!(k <= n, "k_distinct(k={k}, n={n})");
+        out.clear();
         // For small k relative to n, rejection sampling is cheaper than
         // materializing [0, n); for dense draws use Fisher–Yates.
         if k * 4 <= n {
-            let mut out = Vec::with_capacity(k);
             while out.len() < k {
                 let c = self.index(n);
                 if !out.contains(&c) {
                     out.push(c);
                 }
             }
-            out
         } else {
-            let mut pool: Vec<usize> = (0..n).collect();
+            out.extend(0..n);
             for i in 0..k {
                 let j = i + self.index(n - i);
-                pool.swap(i, j);
+                out.swap(i, j);
             }
-            pool.truncate(k);
-            pool
+            out.truncate(k);
         }
     }
 
@@ -266,8 +267,9 @@ mod tests {
     #[test]
     fn k_distinct_properties() {
         let mut r = SimRng::new(5);
+        let mut xs = vec![99; 3]; // stale contents must be cleared
         for &(k, n) in &[(1usize, 10usize), (3, 10), (10, 10), (2, 100)] {
-            let xs = r.k_distinct(k, n);
+            r.k_distinct(k, n, &mut xs);
             assert_eq!(xs.len(), k);
             let mut sorted = xs.clone();
             sorted.sort_unstable();
@@ -275,6 +277,21 @@ mod tests {
             assert_eq!(sorted.len(), k, "duplicates in {xs:?}");
             assert!(xs.iter().all(|&x| x < n));
         }
+    }
+
+    #[test]
+    fn k_distinct_draws_are_pinned() {
+        // The draw sequence feeds forwarding and deflection decisions, so
+        // it is part of every result: both branches are pinned, and so is
+        // the stream position they leave behind.
+        let mut r = SimRng::new(42);
+        let mut xs = Vec::new();
+        r.k_distinct(2, 16, &mut xs); // sparse: rejection sampling
+        let sparse = xs.clone();
+        r.k_distinct(3, 4, &mut xs); // dense: partial Fisher–Yates
+        assert_eq!(sparse, [13, 5]);
+        assert_eq!(xs, [3, 0, 1]);
+        assert_eq!(r.next_u64(), 10_848_501_901_068_131_965);
     }
 
     #[test]

@@ -152,9 +152,12 @@ impl SimDuration {
     #[inline]
     pub fn tx_time(bytes: u64, rate_bps: u64) -> Self {
         assert!(rate_bps > 0, "link rate must be positive");
-        // bits * 1e9 / rate, computed in u128 to avoid overflow.
-        let ns = (bytes as u128 * 8 * 1_000_000_000).div_ceil(rate_bps as u128);
-        SimDuration(ns.min(u64::MAX as u128) as u64)
+        // bits * 1e9 / rate: one u64 division whenever the numerator fits
+        // (every transfer below ~2.3 GB), a u128 one otherwise.
+        SimDuration(match bytes.checked_mul(NS_BITS_PER_BYTE) {
+            Some(num) => num.div_ceil(rate_bps),
+            None => tx_time_wide(bytes, rate_bps),
+        })
     }
 
     /// Multiplies the span by an integer factor, saturating.
@@ -279,6 +282,16 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
+/// Nanoseconds × bits per byte: `tx_time`'s numerator is `bytes` times this.
+const NS_BITS_PER_BYTE: u64 = 8 * 1_000_000_000;
+
+/// `tx_time` in `u128`, saturating: the path for numerators past `u64`.
+#[cold]
+fn tx_time_wide(bytes: u64, rate_bps: u64) -> u64 {
+    let ns = (bytes as u128 * NS_BITS_PER_BYTE as u128).div_ceil(rate_bps as u128);
+    ns.min(u64::MAX as u128) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,6 +337,41 @@ mod tests {
             SimDuration::tx_time(1, 1_000_000_000_000),
             SimDuration::from_nanos(1)
         );
+    }
+
+    #[test]
+    fn tx_time_paths_agree_around_the_overflow_boundary() {
+        // The largest byte count whose numerator still fits in a u64.
+        let edge = u64::MAX / NS_BITS_PER_BYTE;
+        assert!(edge.checked_mul(NS_BITS_PER_BYTE).is_some());
+        assert!((edge + 1).checked_mul(NS_BITS_PER_BYTE).is_none());
+        let rates = [
+            1,
+            3,
+            7_000_000_001,
+            10_000_000_000,
+            400_000_000_000,
+            u64::MAX,
+        ];
+        for bytes in [0, 1, 1_500, 9_000, edge - 2, edge - 1, edge] {
+            for rate in rates {
+                let narrow = (bytes * NS_BITS_PER_BYTE).div_ceil(rate);
+                assert_eq!(narrow, tx_time_wide(bytes, rate), "{bytes} B at {rate}");
+                assert_eq!(SimDuration::tx_time(bytes, rate).as_nanos(), narrow);
+            }
+        }
+        for bytes in [edge + 1, edge + 2, u64::MAX] {
+            for rate in rates {
+                assert_eq!(
+                    SimDuration::tx_time(bytes, rate).as_nanos(),
+                    tx_time_wide(bytes, rate),
+                    "{bytes} B at {rate}"
+                );
+                // Monotone across the switch-over.
+                assert!(SimDuration::tx_time(bytes, rate) >= SimDuration::tx_time(edge, rate));
+            }
+        }
+        assert_eq!(SimDuration::tx_time(u64::MAX, 1), SimDuration::MAX);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! A hierarchical timing wheel: the O(1) backend of [`EventQueue`].
+//! A hierarchical timing wheel on a node slab: the O(1) backend of
+//! [`EventQueue`].
 //!
 //! [`EventQueue`]: crate::EventQueue
 //!
@@ -18,31 +19,41 @@
 //! occupancy bitmap, so "earliest pending slot" is four `u64` words and a
 //! `trailing_zeros` per level instead of a scan.
 //!
+//! Pending events live in one slab of nodes (timestamp, tie key, `next`
+//! index, payload); a slot is just a `(head, tail)` pair of slab indices
+//! forming a singly linked list. Freed nodes go on a free list threaded
+//! through `next`, so the slab's size tracks the high-water mark of
+//! pending events, not the sum of 2048 per-slot buffer capacities.
+//!
 //! ## Cost model
 //!
-//! `push` is O(1): one XOR + `leading_zeros` to pick the slot, one `Vec`
-//! append. `pop` is amortized O(1): advancing the clock to the next event
-//! cascades at most the 7 higher-level slots that contain it, and every
+//! `push` is O(1): one XOR + `leading_zeros` to pick the slot, one slab
+//! node, one tail link. `pop` is amortized O(1): advancing the clock to
+//! the next event cascades at most the 7 higher-level slots that contain
+//! it, relinking their nodes in place (payloads never move), and every
 //! event moves down a strictly decreasing sequence of levels, so each is
 //! touched at most 8 times over its lifetime regardless of queue depth.
-//! Contrast the `BinaryHeap` backend's O(log n) sift per operation with a
-//! pointer-free but comparison-heavy layout.
+//! A level-0 slot holds one instant, and its list is kept sorted by tie
+//! key; an insertion that does not belong at the tail walks the list,
+//! which costs the number of events sharing that nanosecond.
 //!
 //! ## Determinism contract (identical to the heap backend)
 //!
-//! Events pop in `(timestamp, insertion sequence)` order: time order
-//! first, FIFO among ties. Slot vectors only ever append, and cascading a
-//! slot redistributes its entries in insertion order (stable), so two
-//! events with equal timestamps can never swap — the property every
-//! end-to-end reproducibility test in this workspace leans on. Scheduling
-//! into the past is a debug panic (clamped to `now` in release), and
-//! `pop_until` never advances the clock past its horizon. The proptest
-//! differential suite (`tests/event_differential.rs`) drives this wheel
-//! and [`HeapEventQueue`](crate::HeapEventQueue) in lockstep to assert
-//! the two backends are observationally identical.
+//! Events pop in `(timestamp, tie key)` order, where the tie key is the
+//! static [`TieKey`] of the event: plain pushes by insertion sequence,
+//! keyed deliveries by `(sent, uid)`, with the two classes ordered by the
+//! window rule in [`crate::event`]. Upper-level slots only ever append,
+//! and every event at one instant always shares one slot, so a cascade
+//! hands a level-0 slot its events in push order and the sorted insert
+//! does the rest. Scheduling into the past is a debug panic (clamped to
+//! `now` in release), and `pop_until` never advances the clock past its
+//! horizon. The proptest differential suite
+//! (`tests/event_differential.rs`) drives this wheel and
+//! [`HeapEventQueue`](crate::HeapEventQueue) in lockstep to assert the
+//! two backends are observationally identical.
 
+use crate::event::{TieKey, LATE};
 use crate::time::{SimDuration, SimTime};
-use std::collections::VecDeque;
 
 /// log2 of the slot count per level.
 const SLOT_BITS: u32 = 8;
@@ -52,26 +63,59 @@ const SLOTS: usize = 1 << SLOT_BITS;
 const LEVELS: usize = 8;
 /// Words of the per-level occupancy bitmap.
 const OCC_WORDS: usize = SLOTS / 64;
+/// Null slab index.
+const NIL: u32 = u32::MAX;
 
-/// A pending event: absolute timestamp, tie-breaking sequence, payload.
-type Pending<E> = (u64, u64, E);
+/// One pending event in the slab. The tie key is stored unpacked so the
+/// node stays at 24 bytes plus the payload.
+struct Node<E> {
+    at: u64,
+    hi: u64,
+    lo: u64,
+    /// Next node in the same slot list (or the free list); `NIL` ends it.
+    next: u32,
+    class: u8,
+    /// `None` only while the node sits on the free list.
+    ev: Option<E>,
+}
+
+impl<E> Node<E> {
+    #[inline(always)]
+    fn key(&self) -> TieKey {
+        (self.class, self.hi, self.lo)
+    }
+}
+
+/// A slot: first and last slab index of its list, `NIL` when empty.
+#[derive(Clone, Copy)]
+struct List {
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY: List = List {
+    head: NIL,
+    tail: NIL,
+};
 
 /// The hierarchical timing wheel. See the module docs for the invariants.
 pub(crate) struct TimingWheel<E> {
-    /// `LEVELS * SLOTS` append-only slot vectors, indexed `level * 256 + slot`.
-    slots: Vec<Vec<Pending<E>>>,
+    /// Every pending (and every freed) event node.
+    nodes: Vec<Node<E>>,
+    /// Head of the free-node list threaded through `Node::next`.
+    free: u32,
+    /// `LEVELS * SLOTS` slot lists, indexed `level * 256 + slot`.
+    slots: Vec<List>,
     /// Per-level slot-occupancy bitmaps.
     occ: [[u64; OCC_WORDS]; LEVELS],
-    /// Events staged out of the current level-0 slot, all at `ready_at`,
-    /// in FIFO order. Popping drains this before touching the wheel again.
-    ready: VecDeque<E>,
-    /// Timestamp shared by everything in `ready`.
-    ready_at: u64,
     /// Current clock in nanoseconds (timestamp of the last popped event).
     now: u64,
+    /// End of the open window; plain pushes beyond it sort before
+    /// deliveries at the same instant (see [`crate::event`]).
+    window_end: u64,
     /// Monotonic insertion sequence (also the scheduled-total counter).
     seq: u64,
-    /// Pending events (wheel + ready).
+    /// Pending events.
     len: usize,
     /// High-water mark of `len`.
     peak: usize,
@@ -104,11 +148,12 @@ fn first_occupied(occ: &[u64; OCC_WORDS]) -> Option<usize> {
 impl<E> TimingWheel<E> {
     pub(crate) fn new() -> Self {
         TimingWheel {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            slots: vec![EMPTY; LEVELS * SLOTS],
             occ: [[0; OCC_WORDS]; LEVELS],
-            ready: VecDeque::new(),
-            ready_at: 0,
             now: 0,
+            window_end: u64::MAX,
             seq: 0,
             len: 0,
             peak: 0,
@@ -120,13 +165,8 @@ impl<E> TimingWheel<E> {
         SimTime::from_nanos(self.now)
     }
 
-    /// Files one event into its slot per the level invariant.
-    #[inline]
-    fn place(&mut self, at: u64, seq: u64, ev: E) {
-        let l = level_of(self.now, at);
-        let s = slot_of(l, at);
-        self.slots[l * SLOTS + s].push((at, seq, ev));
-        self.occ[l][s / 64] |= 1 << (s % 64);
+    pub(crate) fn set_window_end(&mut self, end: SimTime) {
+        self.window_end = end.as_nanos();
     }
 
     pub(crate) fn push(&mut self, at: SimTime, ev: E) {
@@ -135,33 +175,121 @@ impl<E> TimingWheel<E> {
             "scheduled an event in the past: {at:?} < {:?}",
             self.now()
         );
-        let at = at.as_nanos().max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.place(at, seq, ev);
-        self.len += 1;
-        self.peak = self.peak.max(self.len);
+        self.push_plain(at.as_nanos().max(self.now), ev);
     }
 
     #[inline]
     pub(crate) fn push_after(&mut self, delay: SimDuration, ev: E) {
         // now + delay saturates via SimTime arithmetic, and is >= now by
         // construction — no past-scheduling check needed.
-        let at = (self.now() + delay).as_nanos();
-        let seq = self.seq;
+        self.push_plain((self.now() + delay).as_nanos(), ev);
+    }
+
+    pub(crate) fn push_keyed(&mut self, at: SimTime, sent: SimTime, uid: u64, ev: E) {
+        debug_assert!(
+            at >= self.now(),
+            "scheduled an event in the past: {at:?} < {:?}",
+            self.now()
+        );
         self.seq += 1;
-        self.place(at, seq, ev);
+        let key = crate::event::keyed_key(sent, uid);
+        self.insert(at.as_nanos().max(self.now), key, ev);
+    }
+
+    #[inline]
+    fn push_plain(&mut self, at: u64, ev: E) {
+        let key = crate::event::plain_key(at, self.window_end, self.seq);
+        self.seq += 1;
+        self.insert(at, key, ev);
+    }
+
+    /// Stores one event in a slab node and files it.
+    #[inline]
+    fn insert(&mut self, at: u64, (class, hi, lo): TieKey, ev: E) {
+        let node = Node {
+            at,
+            hi,
+            lo,
+            next: NIL,
+            class,
+            ev: Some(ev),
+        };
+        let idx = if self.free == NIL {
+            let idx = self.nodes.len();
+            assert!(idx < NIL as usize, "timing wheel slab is full");
+            self.nodes.push(node);
+            idx as u32
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.link(idx);
         self.len += 1;
         self.peak = self.peak.max(self.len);
     }
 
+    /// Files node `idx` into its slot per the level invariant: appended on
+    /// upper levels, in tie-key order on level 0.
+    #[inline]
+    fn link(&mut self, idx: u32) {
+        let node = &self.nodes[idx as usize];
+        let l = level_of(self.now, node.at);
+        let s = slot_of(l, node.at);
+        self.occ[l][s / 64] |= 1 << (s % 64);
+        // A `LATE` node carries the largest key among the nodes of its
+        // instant already in the slot (last class, newest sequence: a
+        // cascade hands them over in push order), so it appends.
+        if l == 0 && node.class != LATE {
+            self.link_sorted(s, idx);
+        } else {
+            self.append(l * SLOTS + s, idx);
+        }
+    }
+
+    #[inline]
+    fn append(&mut self, i: usize, idx: u32) {
+        self.nodes[idx as usize].next = NIL;
+        let list = &mut self.slots[i];
+        if list.tail == NIL {
+            list.head = idx;
+        } else {
+            self.nodes[list.tail as usize].next = idx;
+        }
+        list.tail = idx;
+    }
+
+    /// Inserts node `idx` into level-0 slot `s` after every node whose key
+    /// is not larger (FIFO among equal keys).
+    fn link_sorted(&mut self, s: usize, idx: u32) {
+        let List { head, tail } = self.slots[s];
+        let key = self.nodes[idx as usize].key();
+        if tail == NIL || self.nodes[tail as usize].key() <= key {
+            return self.append(s, idx);
+        }
+        if key < self.nodes[head as usize].key() {
+            self.nodes[idx as usize].next = head;
+            self.slots[s].head = idx;
+            return;
+        }
+        // head <= key < tail: the successor exists before the tail.
+        let mut prev = head;
+        loop {
+            let next = self.nodes[prev as usize].next;
+            if key < self.nodes[next as usize].key() {
+                self.nodes[idx as usize].next = next;
+                self.nodes[prev as usize].next = idx;
+                return;
+            }
+            prev = next;
+        }
+    }
+
     /// Timestamp of the earliest pending event without disturbing the
     /// wheel. O(1) in bitmap words plus, when only upper levels are
-    /// occupied, one scan of the single first slot.
+    /// occupied, one walk of the single first slot.
     fn earliest(&self) -> Option<u64> {
-        if !self.ready.is_empty() {
-            return Some(self.ready_at);
-        }
         if self.len == 0 {
             return None;
         }
@@ -174,17 +302,22 @@ impl<E> TimingWheel<E> {
                 return Some((self.now & !(SLOTS as u64 - 1)) | s as u64);
             }
             // Upper-level slots mix timestamps; the earliest is the min.
-            let evs = &self.slots[l * SLOTS + s];
-            debug_assert!(!evs.is_empty());
-            return evs.iter().map(|e| e.0).min();
+            let mut cur = self.slots[l * SLOTS + s].head;
+            let mut min = u64::MAX;
+            while cur != NIL {
+                let n = &self.nodes[cur as usize];
+                min = min.min(n.at);
+                cur = n.next;
+            }
+            return Some(min);
         }
         unreachable!("len > 0 but no occupied slot");
     }
 
     /// Advances the clock to `t` (the earliest pending timestamp),
     /// cascading every higher-level slot on the path so the event lands
-    /// in its level-0 slot. Stable: redistribution preserves insertion
-    /// order, so FIFO-on-tie survives every cascade.
+    /// in its level-0 slot. Nodes are relinked in list order, so events
+    /// at one instant reach level 0 in push order.
     fn advance_to(&mut self, t: u64) {
         loop {
             let l = level_of(self.now, t);
@@ -196,76 +329,54 @@ impl<E> TimingWheel<E> {
             // slot re-files relative to the new clock, one level (or more)
             // down.
             self.now = t & !((1u64 << (SLOT_BITS * l as u32)) - 1);
-            let mut evs = std::mem::take(&mut self.slots[l * SLOTS + s]);
+            let mut cur = std::mem::replace(&mut self.slots[l * SLOTS + s], EMPTY).head;
             self.occ[l][s / 64] &= !(1 << (s % 64));
-            for (at, seq, ev) in evs.drain(..) {
-                debug_assert!(at >= self.now);
-                self.place(at, seq, ev);
+            while cur != NIL {
+                let next = self.nodes[cur as usize].next;
+                debug_assert!(self.nodes[cur as usize].at >= self.now);
+                self.link(cur);
+                cur = next;
             }
-            // Re-filed events always land on a strictly lower level, so the
-            // slot is still empty — hand its buffer back to keep the
-            // capacity for the next lap of this wheel.
-            self.slots[l * SLOTS + s] = evs;
         }
         self.now = t;
     }
 
-    /// Drains the level-0 slot holding timestamp `t`: returns its first
-    /// event and stages any remaining ties into `ready`, in insertion
-    /// order. Precondition: `advance_to(t)` has run, so the slot holds
-    /// exactly the events at `t`.
-    fn stage(&mut self, t: u64) -> E {
+    /// Unlinks and frees the head of the level-0 slot holding `t`.
+    /// Precondition: `advance_to(t)` has run.
+    fn take_head(&mut self, t: u64) -> E {
         let s = slot_of(0, t);
-        let mut evs = std::mem::take(&mut self.slots[s]);
-        self.occ[0][s / 64] &= !(1 << (s % 64));
-        debug_assert!(!evs.is_empty(), "staged an empty slot");
-        let mut drain = evs.drain(..);
-        let (at, _seq, first) = drain.next().expect("staged slot is nonempty");
-        debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
-        // The common case is a single event per instant; ties go through
-        // the ready stage (usually untouched).
-        for (at, _seq, ev) in drain {
-            debug_assert_eq!(at, t, "level-0 slot mixed timestamps");
-            self.ready.push_back(ev);
+        let idx = self.slots[s].head;
+        debug_assert!(idx != NIL, "took from an empty slot");
+        let node = &mut self.nodes[idx as usize];
+        debug_assert_eq!(node.at, t, "level-0 slot mixed timestamps");
+        let next = node.next;
+        let ev = node.ev.take().expect("pending node holds its event");
+        node.next = self.free;
+        self.free = idx;
+        self.slots[s].head = next;
+        if next == NIL {
+            self.slots[s].tail = NIL;
+            self.occ[0][s / 64] &= !(1 << (s % 64));
         }
-        self.slots[s] = evs; // keep the slot's buffer capacity
-        self.ready_at = t;
-        first
+        self.len -= 1;
+        ev
     }
 
     pub(crate) fn pop(&mut self) -> Option<(SimTime, E)> {
-        let ev = match self.ready.pop_front() {
-            Some(ev) => ev,
-            None => {
-                let t = self.earliest()?;
-                self.advance_to(t);
-                self.stage(t)
-            }
-        };
-        self.len -= 1;
-        self.now = self.ready_at;
-        Some((SimTime::from_nanos(self.ready_at), ev))
+        let t = self.earliest()?;
+        self.advance_to(t);
+        Some((SimTime::from_nanos(t), self.take_head(t)))
     }
 
     #[inline]
     pub(crate) fn pop_until(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        let ev = if self.ready.is_empty() {
-            let t = self.earliest()?;
-            if t > limit.as_nanos() {
-                // Beyond the horizon: stays queued, clock does not move.
-                return None;
-            }
-            self.advance_to(t);
-            self.stage(t)
-        } else {
-            if self.ready_at > limit.as_nanos() {
-                return None;
-            }
-            self.ready.pop_front().expect("ready is nonempty")
-        };
-        self.len -= 1;
-        self.now = self.ready_at;
-        Some((SimTime::from_nanos(self.ready_at), ev))
+        let t = self.earliest()?;
+        if t > limit.as_nanos() {
+            // Beyond the horizon: stays queued, clock does not move.
+            return None;
+        }
+        self.advance_to(t);
+        Some((SimTime::from_nanos(t), self.take_head(t)))
     }
 
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
@@ -287,12 +398,13 @@ impl<E> TimingWheel<E> {
     /// Reconstructs a wheel from snapshot state: the clock, the lifetime
     /// counters, and every pending event in *pop order*.
     ///
-    /// Events are re-filed with fresh sequence numbers `0..n` — pop order
-    /// is all that matters for FIFO ties, and re-numbering keeps the
-    /// rebuild independent of where each event originally sat in the
-    /// schedule history. The insertion counter is then bumped back up to
-    /// `scheduled_total` so future pushes order after every restored tie
-    /// and the `events_scheduled` diagnostic stays byte-identical.
+    /// Events are re-filed as plain pushes with fresh sequence numbers
+    /// `0..n` — pop order is all that matters for ties, and re-numbering
+    /// keeps the rebuild independent of where each event originally sat
+    /// in the schedule history. The insertion counter is then bumped back
+    /// up to `scheduled_total` so future pushes order after every
+    /// restored tie and the `events_scheduled` diagnostic stays
+    /// byte-identical.
     pub(crate) fn rebuild(
         now: u64,
         scheduled_total: u64,
@@ -303,12 +415,11 @@ impl<E> TimingWheel<E> {
         w.now = now;
         let n = events.len();
         debug_assert!(scheduled_total >= n as u64);
-        for (i, (at, ev)) in events.into_iter().enumerate() {
+        for (at, ev) in events {
             debug_assert!(at >= now, "snapshot held an event in the past");
-            w.place(at.max(now), i as u64, ev);
+            w.push_plain(at.max(now), ev);
         }
         w.seq = scheduled_total;
-        w.len = n;
         w.peak = peak.max(n);
         w
     }
@@ -359,12 +470,30 @@ mod tests {
         assert_eq!(w.pop(), Some((SimTime::from_nanos(10), 99)));
         w.push(t, 2);
         assert_eq!(w.pop(), Some((t, 0)));
-        // Mid-drain push at the ready timestamp lands behind the ties.
+        // Mid-drain push at the current timestamp lands behind the ties.
         w.push(t, 3);
         assert_eq!(w.pop(), Some((t, 1)));
         assert_eq!(w.pop(), Some((t, 2)));
         assert_eq!(w.pop(), Some((t, 3)));
         assert_eq!(w.pop(), None);
+    }
+
+    #[test]
+    fn keyed_pushes_sort_between_the_plain_classes() {
+        let mut w: TimingWheel<&str> = TimingWheel::new();
+        let t = SimTime::from_nanos(700);
+        // Window (.., 500]: a plain push at 700 lies beyond it (early).
+        w.set_window_end(SimTime::from_nanos(500));
+        w.push(t, "early");
+        w.set_window_end(SimTime::from_nanos(1_000));
+        // Deliveries arrive in scrambled order; they pop by (sent, uid).
+        w.push_keyed(t, SimTime::from_nanos(90), 1, "d3");
+        w.push_keyed(t, SimTime::from_nanos(10), 7, "d2");
+        w.push_keyed(t, SimTime::from_nanos(10), 3, "d1");
+        w.push(t, "late");
+        let order: Vec<_> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["early", "d1", "d2", "d3", "late"]);
+        assert_eq!(w.scheduled_total(), 5);
     }
 
     #[test]
@@ -381,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn counters_track_wheel_and_ready() {
+    fn counters_track_pending_events() {
         let mut w: TimingWheel<u8> = TimingWheel::new();
         let t = SimTime::from_nanos(7);
         for i in 0..5 {
@@ -389,14 +518,25 @@ mod tests {
         }
         assert_eq!(w.len(), 5);
         assert_eq!(w.peak_pending(), 5);
-        // First pop stages the slot; len must count staged events.
         assert_eq!(w.pop(), Some((t, 0)));
         assert_eq!(w.len(), 4);
         assert_eq!(w.peek_time(), Some(t));
-        assert!(w.len() > 0);
         while w.pop().is_some() {}
         assert_eq!(w.len(), 0);
         assert_eq!(w.scheduled_total(), 5);
         assert_eq!(w.peak_pending(), 5);
+    }
+
+    #[test]
+    fn slab_reuses_freed_nodes() {
+        let mut w: TimingWheel<u64> = TimingWheel::new();
+        for round in 0..100u64 {
+            for i in 0..8 {
+                w.push_after(SimDuration::from_nanos(i * 300), round * 8 + i);
+            }
+            while w.pop().is_some() {}
+        }
+        assert_eq!(w.nodes.len(), 8, "slab grows to the pending peak only");
+        assert_eq!(w.scheduled_total(), 800);
     }
 }

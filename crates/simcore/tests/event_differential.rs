@@ -1,13 +1,16 @@
 //! Differential proptests: the timing-wheel event queue against the
 //! retained `HeapEventQueue` oracle.
 //!
-//! Random interleavings of `push` / `push_after` / `pop` / `pop_until`
-//! must produce identical `(timestamp, payload)` sequences, identical
-//! clocks, and identical pending counts on both backends — including
-//! clustered near-now timestamps (burst regime), heavy ties (FIFO
-//! tie-break), far-future delays that land in the wheel's upper levels,
-//! `pop_until` at exact tick boundaries, and `u64::MAX`-adjacent
-//! timestamps in the overflow wheel.
+//! Random interleavings of `push` / `push_after` / `push_keyed` /
+//! `set_window_end` / `pop` / `pop_until` must produce identical
+//! `(timestamp, payload)` sequences, identical clocks, and identical
+//! pending counts on both backends — including clustered near-now
+//! timestamps (burst regime), heavy ties (the static tie key: FIFO among
+//! plain pushes of one class, `(sent, uid)` among keyed ones, duplicate
+//! keys included), window ends that move forward, backward and to
+//! `u64::MAX` between pushes, far-future delays that land in the wheel's
+//! upper levels, `pop_until` at exact tick boundaries, and
+//! `u64::MAX`-adjacent timestamps in the overflow wheel.
 
 use proptest::prelude::*;
 use vertigo_simcore::{EventBackend, EventQueue, SimDuration, SimTime};
@@ -26,6 +29,13 @@ enum Op {
     /// `pop_until` at the exact timestamp of the earliest pending event
     /// (boundary must be inclusive on both backends).
     PopUntilExact,
+    /// `push_keyed(now + delta, now - back, uid, id)`; uids come from a
+    /// small range so exact `(sent, uid)` duplicates occur.
+    PushKeyed { delta: u64, back: u64, uid: u64 },
+    /// `set_window_end(now + delta)`, saturating.
+    Window(u64),
+    /// `set_window_end(now - back)`: a window end behind the clock.
+    WindowBack(u64),
 }
 
 /// Delay distributions exercising different wheel levels.
@@ -45,6 +55,10 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
+fn keyed_strategy(delta: impl Strategy<Value = u64>) -> impl Strategy<Value = Op> {
+    (delta, 0u64..3, 0u64..4).prop_map(|(delta, back, uid)| Op::PushKeyed { delta, back, uid })
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         delta_strategy().prop_map(Op::Push),
@@ -52,6 +66,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         delta_strategy().prop_map(Op::PopUntil),
         Just(Op::PopUntilExact),
+        keyed_strategy(delta_strategy()),
+        delta_strategy().prop_map(Op::Window),
+        (0u64..600).prop_map(Op::WindowBack),
     ]
 }
 
@@ -74,6 +91,23 @@ fn run_script(ops: &[Op]) {
                 wheel.push_after(d, next_id);
                 heap.push_after(d, next_id);
                 next_id += 1;
+            }
+            Op::PushKeyed { delta, back, uid } => {
+                let at = wheel.now() + SimDuration::from_nanos(delta);
+                let sent = SimTime::from_nanos(wheel.now().as_nanos().saturating_sub(back));
+                wheel.push_keyed(at, sent, uid, next_id);
+                heap.push_keyed(at, sent, uid, next_id);
+                next_id += 1;
+            }
+            Op::Window(delta) => {
+                let end = wheel.now() + SimDuration::from_nanos(delta);
+                wheel.set_window_end(end);
+                heap.set_window_end(end);
+            }
+            Op::WindowBack(back) => {
+                let end = SimTime::from_nanos(wheel.now().as_nanos().saturating_sub(back));
+                wheel.set_window_end(end);
+                heap.set_window_end(end);
             }
             Op::Pop => {
                 assert_eq!(wheel.pop(), heap.pop(), "pop diverged at step {step}");
@@ -122,6 +156,59 @@ fn run_script(ops: &[Op]) {
     assert_eq!(wheel.now(), heap.now());
 }
 
+/// Deliveries of one window as `(offset before the window end, extra
+/// send lag, uid)`, then the delays of the plain follow-ups pushed
+/// between pops.
+type Window = (Vec<(u64, u64, u64)>, Vec<u64>);
+
+/// Drives both backends through barrier windows on a 500 ns grid, the
+/// way the domain engine does, asserting identical pops.
+fn run_barrier_windows(windows: &[Window]) {
+    const QUANTUM: u64 = 500;
+    let mut wheel: EventQueue<u64> = EventQueue::with_backend(EventBackend::Wheel);
+    let mut heap: EventQueue<u64> = EventQueue::with_backend(EventBackend::Heap);
+    let mut next_id = 0u64;
+    for (i, (deliveries, follow_ups)) in windows.iter().enumerate() {
+        let end = SimTime::from_nanos((i as u64 + 1) * QUANTUM);
+        wheel.set_window_end(end);
+        heap.set_window_end(end);
+        for &(offset, lag, uid) in deliveries {
+            // Due in this window: (end - QUANTUM, end], sent at least one
+            // quantum earlier.
+            let at = end.as_nanos() - offset % QUANTUM;
+            let sent = SimTime::from_nanos(at.saturating_sub(QUANTUM + lag));
+            let at = SimTime::from_nanos(at);
+            wheel.push_keyed(at, sent, uid, next_id);
+            heap.push_keyed(at, sent, uid, next_id);
+            next_id += 1;
+        }
+        let mut follow_ups = follow_ups.iter();
+        loop {
+            let (a, b) = (wheel.pop_until(end), heap.pop_until(end));
+            assert_eq!(a, b, "window {i} diverged");
+            if a.is_none() {
+                break;
+            }
+            if let Some(&d) = follow_ups.next() {
+                wheel.push_after(SimDuration::from_nanos(d), next_id);
+                heap.push_after(SimDuration::from_nanos(d), next_id);
+                next_id += 1;
+            }
+        }
+        assert_eq!(wheel.now(), heap.now());
+        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(wheel.peak_pending(), heap.peak_pending());
+    }
+    loop {
+        let (a, b) = (wheel.pop(), heap.pop());
+        assert_eq!(a, b, "drain diverged");
+        if a.is_none() {
+            break;
+        }
+    }
+    assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -148,6 +235,44 @@ proptest! {
             }
         }
         run_script(&ops);
+    }
+
+    /// Same-instant mixes: a handful of instants receive plain pushes on
+    /// both sides of a moving window end and keyed pushes in scrambled
+    /// `(sent, uid)` order, partly parked in upper levels and cascaded,
+    /// partly pushed straight into level 0 between pops.
+    #[test]
+    fn wheel_matches_heap_on_same_instant_class_mixes(
+        script in proptest::collection::vec(
+            prop_oneof![
+                (0u64..3).prop_map(|i| Op::Push(i * 70_000)),
+                keyed_strategy((0u64..3).prop_map(|i| i * 70_000)),
+                (0u64..3).prop_map(|i| Op::Window(i * 70_000)),
+                Just(Op::WindowBack(1)),
+                Just(Op::PopUntilExact),
+                Just(Op::Push(0)),
+                keyed_strategy(Just(0u64)),
+            ],
+            1..300,
+        ),
+    ) {
+        run_script(&script);
+    }
+
+    /// The domain engine's pattern: open a window on a grid, push its due
+    /// deliveries keyed in arbitrary order, drain to the window end while
+    /// handlers push plain follow-ups inside and beyond the window.
+    #[test]
+    fn wheel_matches_heap_on_barrier_windows(
+        windows in proptest::collection::vec(
+            (
+                proptest::collection::vec((0u64..500, 0u64..1_000, 0u64..1_000), 0..12),
+                proptest::collection::vec(0u64..1_500, 0..12),
+            ),
+            1..40,
+        ),
+    ) {
+        run_barrier_windows(&windows);
     }
 
     /// Deep prefill then bounded drains: exercises cascades from upper

@@ -749,6 +749,7 @@ fn plan_component(
             };
             let sync_s = sync.as_secs_f64();
             let mut t = from_s;
+            let mut picks = Vec::with_capacity(scale);
             loop {
                 t += rng.exp(1.0 / qps);
                 if t >= until_s {
@@ -761,7 +762,8 @@ fn plan_component(
                     at,
                     fanout: scale as u32,
                 });
-                for idx in rng.k_distinct(scale, n - 1) {
+                rng.k_distinct(scale, n - 1, &mut picks);
+                for &idx in &picks {
                     let s = if idx >= client { idx + 1 } else { idx };
                     let jitter = if sync_s > 0.0 {
                         rng.uniform() * sync_s

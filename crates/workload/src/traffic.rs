@@ -145,6 +145,7 @@ pub fn install_incast_from(sim: &mut Simulation, spec: IncastSpec, from: SimDura
     let mean_gap_s = 1.0 / spec.qps;
 
     let mut t = from.as_secs_f64();
+    let mut picks = Vec::with_capacity(spec.scale);
     loop {
         t += rng.exp(mean_gap_s);
         if t >= horizon {
@@ -154,7 +155,8 @@ pub fn install_incast_from(sim: &mut Simulation, spec: IncastSpec, from: SimDura
         let client = rng.index(hosts);
         // scale distinct servers, none of them the client.
         let mut servers = Vec::with_capacity(spec.scale);
-        for idx in rng.k_distinct(spec.scale, hosts - 1) {
+        rng.k_distinct(spec.scale, hosts - 1, &mut picks);
+        for &idx in &picks {
             // Map [0, hosts-1) onto hosts minus the client.
             let s = if idx >= client { idx + 1 } else { idx };
             servers.push(s);

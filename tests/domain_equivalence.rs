@@ -169,3 +169,29 @@ proptest! {
         prop_assert_eq!(out.max_port_bytes, base.max_port_bytes);
     }
 }
+
+/// The full `Report` (every field, diagnostics included) of a small
+/// faulted `--domains 1` cell, hashed and pinned on both backends. The
+/// invariance tests above only compare domain counts with each other, so
+/// a change that moved every count at once would pass them; this pins
+/// the absolute result. `events_scheduled`, `peak_pending_events` and
+/// `domain_peak_pending` are part of the digest, so a change to how the
+/// engine feeds its wheel shows up here too.
+#[test]
+fn domains_one_report_digest_is_pinned() {
+    const PINNED: u64 = 0x2886_0779_63cb_c3fe;
+    for backend in [EventBackend::Wheel, EventBackend::Heap] {
+        let mut spec = cell(SystemKind::Vertigo, backend);
+        spec.faults = FaultSchedule::parse("loss:*:0.002@2ms-8ms").unwrap();
+        spec.domains = Some(1);
+        let mut report = spec.run().report;
+        assert!(report.fault_events > 0 && report.flows_completed > 0);
+        // The one field a build feature moves (zero without `audit`).
+        report.audit_checks = 0;
+        let digest = vertigo::pkt::fnv1a(format!("{report:?}").as_bytes());
+        assert_eq!(
+            digest, PINNED,
+            "--domains 1 report digest moved on {backend:?}: {report:?}"
+        );
+    }
+}
